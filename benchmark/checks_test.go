@@ -223,8 +223,8 @@ func TestGatewayChecksCanFail(t *testing.T) {
 	}
 }
 
-// TestOpenLoopAccounting drives a short light phase and checks that every
-// request is accounted for and answered.
+// TestOpenLoopAccounting drives a light phase and a pipelined burst and
+// checks that every request is accounted for and answered.
 func TestOpenLoopAccounting(t *testing.T) {
 	g, err := gwSetup(5, 2)
 	if err != nil {
@@ -236,6 +236,13 @@ func TestOpenLoopAccounting(t *testing.T) {
 	want := int64(lightRate * phaseSpan.Seconds())
 	if e.attempted != want || e.failed != 0 || int64(len(lat)) != want {
 		t.Fatalf("attempted %d failed %d latencies %d, want %d/0/%d", e.attempted, e.failed, len(lat), want, want)
+	}
+	if took := g.burst(e, 0); took <= 0 {
+		t.Errorf("burst took %v", took)
+	}
+	want += int64(len(g.sess) * burstRequests)
+	if e.attempted != want || e.failed != 0 {
+		t.Fatalf("after the burst: attempted %d failed %d, want %d/0", e.attempted, e.failed, want)
 	}
 	for _, err := range g.close() {
 		t.Error(err)

@@ -41,6 +41,14 @@ const (
 	// phaseSpan is the schedule length of one open-loop phase.
 	phaseSpan = time.Second
 
+	// burstRequests is each session's batch in the burst, a fixed request
+	// count whose host time is the gateway's wall_s. burstDepth requests
+	// in flight per session stay clear of the credit race (see saturate):
+	// the gateway counts at most one more than the client has in flight
+	// against a window of 32.
+	burstRequests = 10000
+	burstDepth    = 8
+
 	// satBatch is each saturation session's batch. A session the gateway
 	// cuts off fails its whole batch.
 	satBatch = 50000
@@ -83,7 +91,8 @@ type gw struct {
 	arr, ctr, satArr, satCtr uint32
 	seed                     uint64
 	answered                 int64     // responses received outside sessions
-	cut                      int       // saturation sessions cut off
+	pipeIncs                 []int64   // read-inc values of the pipelined sessions
+	cut                      int       // pipelined sessions cut off
 	cutAfter                 []float64 // answers each cut session got first
 	satRPS                   float64
 }
@@ -337,61 +346,91 @@ func (g *gw) watchdog(stop <-chan struct{}) {
 	}
 }
 
+// burst runs burstRequests per session through raw pipelined sessions,
+// burstDepth in flight each, and returns how long they took.
+func (g *gw) burst(e *env, round int) time.Duration {
+	took, _ := g.pipelined(e, newRNG(g.seed, 0x66, uint64(round)), burstRequests, burstDepth)
+	return took
+}
+
 // saturate runs the saturation phase: every session keeps its whole
 // granted window in flight and sends again as each response arrives.
-// A session the gateway cuts off fails its whole batch.
+// internal/gateway/session.go returns a credit only after the response's
+// write returns, so such a client overruns the window by one and the
+// gateway cuts the session off.
 func (g *gw) saturate(e *env, round int) {
+	took, nCut := g.pipelined(e, newRNG(g.seed, 0x55, uint64(round)), satBatch, math.MaxInt)
+	if nCut == 0 {
+		g.satRPS = float64(len(g.sess)*satBatch) / took.Seconds()
+	}
+}
+
+// pipelined runs one raw pipelined session per client session, each
+// sending batch requests with at most depth (or its granted window) in
+// flight. It returns the phase's host time and how many sessions the
+// gateway cut off; a cut session fails its whole batch. The read-inc
+// values of every pipelined phase on this gateway must stay distinct, and
+// be exactly 0..M-1 while no session was cut: a cut session's read-incs
+// in flight may have taken values.
+func (g *gw) pipelined(e *env, r *rng, batch, depth int) (took time.Duration, nCut int) {
 	ns := len(g.sess)
 	answered := make([]int64, ns)
 	cut := make([]bool, ns)
 	faults := make([][]string, ns)
+	incs := make([][]int64, ns)
+	seeds := make([]uint64, ns)
+	for i := range seeds {
+		seeds[i] = r.next()
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < ns; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			answered[i], cut[i], faults[i] = satSession(g, i, ns, newRNG(g.seed, 0x55, uint64(round), uint64(i)))
+			answered[i], cut[i], incs[i], faults[i] = pipeSession(g, i, ns, newRNG(seeds[i]), batch, depth)
 		}(i)
 	}
 	wg.Wait()
-	took := time.Since(start)
-	allDone := true
+	took = time.Since(start)
 	for i := 0; i < ns; i++ {
-		e.attempted += satBatch
+		g.pipeIncs = append(g.pipeIncs, incs[i]...)
+		e.attempted += int64(batch)
 		g.answered += answered[i]
 		if cut[i] {
-			e.failed += satBatch
+			e.failed += int64(batch)
 			g.cut++
 			g.cutAfter = append(g.cutAfter, float64(answered[i]))
-			allDone = false
+			nCut++
 		}
 		for _, s := range faults[i] {
-			e.problem("saturation session %d: %s", i, s)
+			e.problem("pipelined session %d: %s", i, s)
 		}
 	}
-	if allDone {
-		g.satRPS = float64(ns*satBatch) / took.Seconds()
+	if err := checkReadIncs(g.pipeIncs, g.cut); err != nil {
+		e.problem("pipelined sessions: %v", err)
 	}
 	// The gateway tears a cut session down on its own; wait for that so
 	// the next phase starts from the same state.
 	deadline := time.Now().Add(readDeadline)
 	for g.srv.Sessions() > int64(len(g.sess)) {
 		if time.Now().After(deadline) {
-			e.problem("gateway still holds %d sessions %v after the saturation phase", g.srv.Sessions(), readDeadline)
-			return
+			e.problem("gateway still holds %d sessions %v after a pipelined phase", g.srv.Sessions(), readDeadline)
+			break
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return took, nCut
 }
 
-// satSession is one pipelined session on a raw connection. It returns the
+// pipeSession is one pipelined session on a raw connection: batch
+// requests, at most depth or the granted window in flight. It returns the
 // responses it received, whether the gateway cut it off before its batch
-// was answered, and any wrong answers.
-func satSession(g *gw, idx, of int, r *rng) (answered int64, cut bool, faults []string) {
+// was answered, the values its read-incs returned, and any wrong answers.
+func pipeSession(g *gw, idx, of int, r *rng, batch, depth int) (answered int64, cut bool, incs []int64, faults []string) {
 	nc, err := net.DialTimeout("tcp", g.srv.Addr(), readDeadline)
 	if err != nil {
-		return 0, true, nil
+		return 0, true, nil, nil
 	}
 	defer nc.Close()
 	br := bufio.NewReaderSize(nc, 64<<10)
@@ -437,14 +476,14 @@ func satSession(g *gw, idx, of int, r *rng) (answered int64, cut bool, faults []
 	}
 
 	if err := send(proto.ReqHeader{Op: proto.OpHello}, nil); err != nil {
-		return 0, true, nil
+		return 0, true, nil, nil
 	}
 	rh, _, err := recv()
 	if err != nil || rh.Status != proto.StatusOK {
-		return 0, true, nil
+		return 0, true, nil, nil
 	}
 	answered++
-	window := int(rh.Credits)
+	inFlight := min(int(rh.Credits), depth)
 
 	next := func() error {
 		kind := r.intn(10)
@@ -473,27 +512,30 @@ func satSession(g *gw, idx, of int, r *rng) (answered int64, cut bool, faults []
 		queue = append(queue, sent{h.Op, seq, row, col})
 		return err
 	}
-	for nSent < window && nSent < satBatch {
+	for nSent < inFlight && nSent < batch {
 		if err := next(); err != nil {
-			return answered, true, faults
+			return answered, true, incs, faults
 		}
 	}
-	for nAnswer < satBatch {
+	for nAnswer < batch {
 		rh, p, err := recv()
 		if err != nil {
-			return answered, true, faults
+			return answered, true, incs, faults
 		}
 		if rh.Status == proto.StatusProtocol {
-			return answered, true, faults // the gateway's parting frame before it cuts the session
+			return answered, true, incs, faults // the gateway's parting frame before it cuts the session
 		}
 		want := queue[0]
 		queue = queue[1:]
 		nAnswer++
 		if rh.Status != proto.StatusOK || rh.Op != want.op || rh.Seq != want.seq {
 			faults = append(faults, fmt.Sprintf("response op %d seq %d status %v for op %d seq %d", rh.Op, rh.Seq, rh.Status, want.op, want.seq))
-			return answered, true, faults
+			return answered, true, incs, faults
 		}
 		answered++
+		if want.op == proto.OpReadInc {
+			incs = append(incs, int64(rh.Value))
+		}
 		if want.op == proto.OpGet {
 			satFill(g.seed, want.row, want.col, vals)
 			for i, v := range vals {
@@ -503,13 +545,13 @@ func satSession(g *gw, idx, of int, r *rng) (answered int64, cut bool, faults []
 				}
 			}
 		}
-		if nSent < satBatch {
+		if nSent < batch {
 			if err := next(); err != nil {
-				return answered, true, faults
+				return answered, true, incs, faults
 			}
 		}
 	}
-	return answered, false, faults
+	return answered, false, incs, faults
 }
 
 // close shuts the gateway down. It also returns the output checks the
@@ -574,8 +616,8 @@ func checkReadIncs(incs []int64, uncertain int) error {
 // gwSessions stays within the run's processor count.
 func gwSessions(e *env) int { return min(2, e.nproc) }
 
-// runGateway measures rounds of the light open-loop phase, each followed
-// by the saturation phase. Each round brings up its own gateway (a
+// runGateway measures rounds of the light open-loop phase and the
+// pipelined burst, each followed by the saturation phase. Each round brings up its own gateway (a
 // set-up) and closes and checks it afterwards: one gateway's loopback
 // sockets and goroutine placement shift its latency for its whole life,
 // so a fresh one per round keeps that out of the run's medians.
@@ -591,14 +633,19 @@ func runGateway(e *env) error {
 			return fmt.Errorf("gateway set-up: %w", err)
 		}
 		root := e.span("gateway.round", -1)
-		var lat []float64
-		_ = e.measure(func() error { // the phase counts its failures per request
+		var took time.Duration
+		_ = e.measure(func() error { // the phases count their failures per request
 			id := e.span("gateway.phase", root)
-			lat, _ = g.phase(e, lightRate, id)
+			g.phase(e, lightRate, id)
+			e.endSpan(id)
+			id = e.span("gateway.burst", root)
+			took = g.burst(e, r)
 			e.endSpan(id)
 			return nil
 		})
-		e.roundLatencies(lat)
+		// The open-loop phase lasts its schedule whatever the program does,
+		// so the round's wall time is the burst's.
+		e.walls[len(e.walls)-1] = took.Seconds()
 
 		id := e.span("gateway.saturate", root)
 		g.saturate(e, r)

@@ -347,6 +347,7 @@ func gatewayLayers(s *env, lapiSegUs float64) (map[string]metric, error) {
 	}
 	reqs := float64(len(heavy))
 	return map[string]metric{
+		"gateway.p50_light_us":   {percentile(light, 50), "us"},
 		"gateway.p50_heavy_us":   {percentile(heavy, 50), "us"},
 		"gateway.p90_light_us":   {percentile(light, 90), "us"},
 		"gateway.p90_heavy_us":   {percentile(heavy, 90), "us"},

@@ -6,7 +6,7 @@
 // the metrics, and which layer metric should move which end-to-end one.
 //
 //	golapi-benchmark --workload paper --seed 1 --seconds 20 --trace 0
-//	golapi-benchmark steady --runs 10
+//	golapi-benchmark steady
 package main
 
 import (
@@ -55,9 +55,12 @@ var workloads = []workload{
 // is the last resort that keeps a run from hanging.
 const runLimit = 170 * time.Second
 
+// traceDir, under the checkout root, receives the traced run's span file.
+const traceDir = ".bench_build/traces"
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "steady" {
-		os.Exit(steadyMain(os.Args[2:]))
+		os.Exit(steadyMain())
 	}
 	os.Exit(benchMain(os.Args[1:]))
 }
@@ -68,7 +71,6 @@ func benchMain(args []string) int {
 	seed := fs.Uint64("seed", 1, "seed every generated input derives from")
 	secs := fs.Int("seconds", 10, "measuring time in seconds (whole rounds only)")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics, tracing off; 1: per-layer metrics and a span file")
-	traceDir := fs.String("trace-dir", ".bench_build/traces", "directory for the traced run's span file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -87,7 +89,9 @@ func benchMain(args []string) int {
 		return 2
 	}
 	limit := time.AfterFunc(runLimit, func() {
-		fmt.Fprintf(os.Stderr, "run exceeded %v; aborting without a result\n", runLimit)
+		fmt.Fprintf(os.Stderr, "run exceeded %v; aborting without a result. Goroutines:\n", runLimit)
+		buf := make([]byte, 8<<20)
+		os.Stderr.Write(buf[:runtime.Stack(buf, true)])
 		os.Exit(3)
 	})
 	defer limit.Stop()
@@ -115,7 +119,7 @@ func benchMain(args []string) int {
 			fmt.Fprintf(os.Stderr, "layer suite: %v\n", err)
 			return 1
 		}
-		path, err := e.tr.write(*traceDir, w.name, *seed, metrics)
+		path, err := e.tr.write(traceDir, w.name, *seed, metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace file: %v\n", err)
 			return 1
@@ -177,7 +181,6 @@ type env struct {
 	walls     []float64 // seconds per round
 	cpus      []float64 // CPU seconds per round
 	peaks     []float64 // peak heap MB per round
-	p50s      []float64 // per round: median µs per operation
 	attempted int64
 	failed    int64
 	problems  []string // failed output checks
@@ -223,7 +226,10 @@ func (e *env) timeSetup(fn func() error) error {
 }
 
 // measure times fn as one round of fixed work: wall, CPU and peak heap.
+// A collection first makes every round start from the same heap, so its
+// peak does not depend on where the previous round left the GC cycle.
 func (e *env) measure(fn func() error) error {
+	runtime.GC()
 	e.heap.reset()
 	c0 := cpuSeconds()
 	start := time.Now()
@@ -285,13 +291,6 @@ func (e *env) recordSpan(name string, parent int32, start, end time.Time) {
 	}
 }
 
-// roundLatencies records the median of one round's operation latencies
-// (µs). The run reports the median round's, so a round the host slowed
-// down moves the run no more than any other round.
-func (e *env) roundLatencies(lat []float64) {
-	e.p50s = append(e.p50s, percentile(lat, 50))
-}
-
 // endToEnd folds the untraced run into the metrics BENCHMARK.json lists,
 // each the median over the run's rounds or set-ups.
 func (e *env) endToEnd() map[string]metric {
@@ -300,6 +299,5 @@ func (e *env) endToEnd() map[string]metric {
 		"wall_s":       {median(e.walls), "s"},
 		"cpu_s":        {median(e.cpus), "s"},
 		"peak_heap_mb": {median(e.peaks), "MB"},
-		"p50_us":       {median(e.p50s), "us"},
 	}
 }

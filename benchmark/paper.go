@@ -2,9 +2,12 @@ package main
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"golapi/internal/bench"
+	"golapi/internal/cluster"
+	"golapi/internal/exec"
 	"golapi/internal/lapi"
 	"golapi/internal/parallel"
 	"golapi/internal/switchnet"
@@ -79,25 +82,48 @@ var paperExperiments = []experiment{
 }
 
 // paperSetups is how many times a run sets up; setup_s is their median.
-const paperSetups = 7
+const paperSetups = 21
 
-// runPaper: set-up is a warm-up of the latency experiments (Table 2 and
-// the pipeline latencies) on the sweep executor. A round runs every
-// experiment once, in an order drawn from the seed; the experiments
-// themselves take no other input.
+// paperBringUpTasks is the sweep's largest job (job-size scaling's last
+// point).
+const paperBringUpTasks = 64
+
+// runPaper: set-up is the bring-up every experiment repeats for each of
+// its jobs, at the sweep's largest size: a simulated cluster built and
+// its AddressInit run. A round runs every experiment once, in an order
+// drawn from the seed; the experiments themselves take no other input.
 func runPaper(e *env) error {
 	for i := 0; i < paperSetups; i++ {
-		if err := e.timeSetup(func() error {
-			var o paperOut
-			return paperExperiments[0].run(e.px, &o)
-		}); err != nil {
-			return fmt.Errorf("warm-up: %w", err)
+		if err := e.timeSetup(func() error { return bringUp(paperBringUpTasks) }); err != nil {
+			return fmt.Errorf("bring-up: %w", err)
 		}
 	}
 	return e.rounds(func(r int) error {
 		_, err := paperRound(e, r, e.px)
 		return err
 	})
+}
+
+// bringUp builds an n-task simulated cluster with the default configs and
+// runs AddressInit across it.
+func bringUp(n int) error {
+	j, err := cluster.NewSimDefault(n)
+	if err != nil {
+		return err
+	}
+	var mu sync.Mutex
+	var initErr error
+	err = j.Run(func(ctx exec.Context, t *lapi.Task) {
+		if _, err := t.AddressInit(ctx, t.Alloc(64)); err != nil {
+			mu.Lock()
+			initErr = err
+			mu.Unlock()
+		}
+	})
+	if err == nil {
+		err = initErr
+	}
+	return err
 }
 
 // paperRound runs one round on px, checks its outputs, and returns each
@@ -114,7 +140,6 @@ func paperRound(e *env, r int, px *parallel.Executor) (map[string]float64, error
 	}
 	var o paperOut
 	took := make(map[string]float64, len(order))
-	var lat []float64
 	err := e.measure(func() error {
 		root := e.span("paper.round", -1)
 		defer e.endSpan(root)
@@ -132,14 +157,12 @@ func paperRound(e *env, r int, px *parallel.Executor) (map[string]float64, error
 				continue
 			}
 			took[x.name] = d.Seconds()
-			lat = append(lat, micros(d))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.roundLatencies(lat)
 	for _, err := range checkPaper(&o, lapi.DefaultConfig(), switchnet.DefaultConfig()) {
 		e.check(err)
 	}

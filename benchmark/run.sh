@@ -2,7 +2,7 @@
 # Builds the benchmark from this checkout's sources and runs it:
 #
 #   bash benchmark/run.sh --workload paper --seed 1 --seconds 30 --trace 0
-#   bash benchmark/run.sh steady --runs 10        # spread of every metric
+#   bash benchmark/run.sh steady    # two sets of ten runs per workload
 #
 # Everything the build writes (binary, Go build cache, temp files, the go
 # command's own config and telemetry) stays under .bench_build at the
